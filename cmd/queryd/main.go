@@ -74,8 +74,7 @@ func run() error {
 	tenantsFlag := flag.String("tenants", "demo:demo-key", "comma-separated name:apikey[:tuple-limit[:memory-budget[:weight[:rps]]]] entries")
 	parallel := flag.Int("parallel", 1, "partition fan-out of every tenant engine (1 = serial)")
 	cache := flag.Bool("cache", true, "enable each tenant's memoizing subplan cache")
-	batchSize := flag.Int("batch-size", service.DefaultBatchSize, "flush a batch at this many requests")
-	batchWait := flag.Duration("batch-wait", service.DefaultBatchMaxWait, "flush a non-empty batch after this wait")
+	batchSize := flag.Int("batch-size", service.DefaultBatchSize, "most requests one dispatched batch carries (batches form only while every execution slot is busy)")
 	recent := flag.Int("recent", service.DefaultRecent, "per-request records kept for /stats")
 	portFile := flag.String("portfile", "", "write the bound address to this file once listening (for scripts)")
 	maxConcurrent := flag.Int("max-concurrent", service.DefaultMaxConcurrent, "batches executing concurrently (bounds the engine load)")
@@ -115,7 +114,6 @@ func run() error {
 	srv, err := service.NewServer(db, service.Config{
 		Tenants:         tenants,
 		BatchSize:       *batchSize,
-		BatchMaxWait:    *batchWait,
 		Recent:          *recent,
 		EngineOptions:   opts,
 		MaxConcurrent:   *maxConcurrent,

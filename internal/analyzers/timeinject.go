@@ -7,9 +7,9 @@ import (
 
 // TimeInject keeps clock-injected state machines deterministic. The
 // service's overload machinery — circuit breaker, CoDel controller, token
-// bucket, fair scheduler — is testable precisely because time flows in as
-// an explicit `now time.Time` argument and the wall clock is read only at
-// the service boundary. A time.Now() or time.Since() smuggled into one of
+// bucket — is testable precisely because time flows in as an explicit
+// `now time.Time` argument and the wall clock is read only at the service
+// boundary. A time.Now() or time.Since() smuggled into one of
 // those state machines silently re-couples its tests to the scheduler.
 //
 // The contract is structural, not a file list: a function or method with a
@@ -127,7 +127,7 @@ func receiverTypeName(pass *Pass, fd *ast.FuncDecl) *types.TypeName {
 }
 
 // describeFunc names a declaration for a diagnostic: "method (*breaker).allow"
-// or "function fifoEligible".
+// or "function elapsed".
 func describeFunc(fd *ast.FuncDecl) string {
 	if fd.Recv == nil {
 		return "function " + fd.Name.Name

@@ -240,30 +240,6 @@ func (e *Engine) Timeout() time.Duration { return e.timeout }
 // PlanCacheEnabled reports whether the memoizing subplan cache is on.
 func (e *Engine) PlanCacheEnabled() bool { return e.memo != nil }
 
-// PlanCacheBudget returns the cache's tuple budget (0 when disabled).
-//
-// Deprecated: read Engine.Snapshot().CacheBudget instead.
-func (e *Engine) PlanCacheBudget() int {
-	return e.Snapshot().CacheBudget
-}
-
-// PlanCacheInfo returns the cache's current entry and buffered-tuple counts
-// (both 0 when disabled).
-//
-// Deprecated: read Engine.Snapshot().CacheEntries/CacheTuples instead.
-func (e *Engine) PlanCacheInfo() (entries, tuples int) {
-	s := e.Snapshot()
-	return s.CacheEntries, s.CacheTuples
-}
-
-// PlanCacheAbandoned returns how many cache spools were abandoned before
-// publication over the current memo's lifetime (0 when disabled).
-//
-// Deprecated: read Engine.Snapshot().MemoSpoolsAbandoned instead.
-func (e *Engine) PlanCacheAbandoned() int64 {
-	return e.Snapshot().MemoSpoolsAbandoned
-}
-
 // TupleLimit returns the engine-level tuple budget (0 = unbounded).
 func (e *Engine) TupleLimit() int64 { return e.tupleLimit }
 
@@ -272,35 +248,6 @@ func (e *Engine) MemoryBudget() int64 { return e.memBudget }
 
 // FaultPlan returns the installed fault-injection plan (nil in production).
 func (e *Engine) FaultPlan() *faultinject.Plan { return e.faults }
-
-// RobustnessCounters are the engine's cumulative robustness counters,
-// accumulated across every execution since construction.
-type RobustnessCounters struct {
-	PanicsRecovered   int64
-	LimitsTripped     int64
-	DegradedEvictions int64
-	// SpoolsAbandoned counts plan-cache spools given up before publication
-	// (cancellation, governor trips, budget overflow, producer death under
-	// fault injection). A non-zero value explains why CacheTuplesSpooled can
-	// exceed the tuples ever published.
-	SpoolsAbandoned int64
-}
-
-// Robustness returns the cumulative robustness counters. They keep counting
-// across failed runs — precisely the runs whose per-call Stats the caller
-// never sees.
-//
-// Deprecated: Robustness is a thin view over Snapshot; new code should read
-// the same counters from Engine.Snapshot().
-func (e *Engine) Robustness() RobustnessCounters {
-	s := e.Snapshot()
-	return RobustnessCounters{
-		PanicsRecovered:   s.PanicsRecovered,
-		LimitsTripped:     s.LimitsTripped,
-		DegradedEvictions: s.DegradedEvictions,
-		SpoolsAbandoned:   s.CacheSpoolsAbandoned,
-	}
-}
 
 // noteRun folds one boundary's counters into the engine's cumulative
 // Snapshot state, exactly once per boundary (the callers defer it).

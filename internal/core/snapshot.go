@@ -1,14 +1,10 @@
 package core
 
-// This file is the engine's unified observability surface. Before it, three
-// ad-hoc windows existed side by side: per-run exec.Stats on each Result,
-// the cumulative Engine.Robustness() counters, and the scattered plan-cache
-// accessors (PlanCacheInfo, PlanCacheBudget, PlanCacheAbandoned). Snapshot
-// replaces the trio with one exported, JSON-tagged, versioned record that a
-// service tier can serve verbatim (queryd's /stats) and that diffing tools
-// can subtract window over window. The old accessors survive as thin
-// deprecated wrappers over Snapshot, so queryctl and benchrepro migrate
-// without churn.
+// This file is the engine's unified observability surface: one exported,
+// JSON-tagged, versioned record of the cumulative execution and robustness
+// counters and the plan-cache gauges, which a service tier can serve
+// verbatim (queryd's /stats) and diffing tools can subtract window over
+// window. Per-run counters stay on each Result's exec.Stats.
 
 // SnapshotVersion is the schema version stamped into every Snapshot. Bump
 // it whenever a field is added, renamed, or changes meaning, so persisted

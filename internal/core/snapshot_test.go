@@ -36,9 +36,9 @@ func TestSnapshotCountsRuns(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeprecatedWrappersAgree: the legacy accessors are views over
-// Snapshot and must report the same numbers.
-func TestSnapshotDeprecatedWrappersAgree(t *testing.T) {
+// TestSnapshotCountsFailedRuns: a run that trips the governor still counts
+// as a run, and the trip surfaces in the snapshot's robustness counters.
+func TestSnapshotCountsFailedRuns(t *testing.T) {
 	eng := NewEngine(demoDB(), WithPlanCache(0), WithTupleLimit(2))
 	_, err := eng.Query(`{ x, y | student(x) and attends(x, y) }`)
 	var re *ResourceError
@@ -51,21 +51,6 @@ func TestSnapshotDeprecatedWrappersAgree(t *testing.T) {
 	}
 	if s.LimitsTripped == 0 {
 		t.Fatalf("trip must surface in the snapshot: %+v", s)
-	}
-	rc := eng.Robustness()
-	if rc.LimitsTripped != s.LimitsTripped || rc.PanicsRecovered != s.PanicsRecovered ||
-		rc.DegradedEvictions != s.DegradedEvictions || rc.SpoolsAbandoned != s.CacheSpoolsAbandoned {
-		t.Fatalf("Robustness %+v disagrees with Snapshot %+v", rc, s)
-	}
-	if got, want := eng.PlanCacheBudget(), s.CacheBudget; got != want {
-		t.Fatalf("PlanCacheBudget %d != CacheBudget %d", got, want)
-	}
-	entries, tuples := eng.PlanCacheInfo()
-	if entries != s.CacheEntries || tuples != s.CacheTuples {
-		t.Fatalf("PlanCacheInfo (%d,%d) != Snapshot (%d,%d)", entries, tuples, s.CacheEntries, s.CacheTuples)
-	}
-	if eng.PlanCacheAbandoned() != s.MemoSpoolsAbandoned {
-		t.Fatalf("PlanCacheAbandoned %d != MemoSpoolsAbandoned %d", eng.PlanCacheAbandoned(), s.MemoSpoolsAbandoned)
 	}
 }
 

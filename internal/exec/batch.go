@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/faultinject"
-	"repro/internal/planopt"
 	"repro/internal/relation"
 )
 
@@ -82,9 +81,7 @@ func (c *Context) noteBatch(n int) {
 
 // blockCap bounds a block buffer's initial capacity by the operator's size
 // hint: an operator that promises fewer than bs tuples allocates only that
-// many slots, and a hint of 0 allocates no block at all. Hints are
-// per-tuple counts; see planopt.BlocksFor for the per-block rounding used
-// when whole blocks are reserved (the memo spool presize).
+// many slots, and a hint of 0 allocates no block at all.
 func blockCap(hint, bs int) int {
 	if hint >= 0 && hint < bs {
 		return hint
@@ -557,14 +554,4 @@ func runBatched(ctx *Context, p algebra.Plan) (*relation.Relation, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// presizeBlocks converts a per-tuple size hint into a whole-block
-// reservation: hints round UP to full blocks (a producer that promises 1500
-// tuples will emit two blocks), except that a hint of 0 reserves nothing.
-func presizeBlocks(hint, bs int) int {
-	if hint < 0 {
-		return 0
-	}
-	return planopt.BlocksFor(hint, bs) * bs
 }

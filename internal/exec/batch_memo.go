@@ -3,7 +3,6 @@ package exec
 import (
 	"repro/internal/algebra"
 	"repro/internal/faultinject"
-	"repro/internal/planopt"
 	"repro/internal/relation"
 )
 
@@ -100,9 +99,7 @@ func (it *batchMemoIter) NextBatch() (*Batch, bool) {
 	}
 }
 
-// start resolves the memo at the first NextBatch, mirroring memoIter.start,
-// and — batch-specific — pre-sizes a fresh spool from the input's size hint,
-// rounded up to whole blocks (a hint of 0 reserves nothing).
+// start resolves the memo at the first NextBatch, mirroring memoIter.start.
 func (it *batchMemoIter) start() {
 	it.gen = it.ctx.Catalog.Generation()
 	if it.ctx.Memo == nil {
@@ -123,9 +120,6 @@ func (it *batchMemoIter) start() {
 		it.ctx.Stats.CacheMisses++
 		it.entry = e
 		it.mode = modeProduce
-		if hint := hintOfBatch(it.in); hint >= 0 {
-			it.ctx.Memo.presizeSpool(e, planopt.BlocksFor(hint, it.bs)*it.bs)
-		}
 		it.ctx.fireFault(faultinject.PointMemoElect)
 	default:
 		it.ctx.Stats.CacheMisses++

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/faultinject"
-	"repro/internal/planopt"
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/testutil"
@@ -117,8 +116,7 @@ func TestBatchSizeParity(t *testing.T) {
 }
 
 // TestBatchHintZeroAllocatesNothing pins the sizeHint contract: a hint of 0
-// (a provably empty input) must reserve no block anywhere. blockCap,
-// presizeBlocks, planopt.BlocksFor and the memo spool presize all skip
+// (a provably empty input) must reserve no block anywhere. blockCap skips
 // allocation, and an empty streaming pipeline emits no block and leaves its
 // reusable output buffers at capacity zero.
 func TestBatchHintZeroAllocatesNothing(t *testing.T) {
@@ -132,26 +130,6 @@ func TestBatchHintZeroAllocatesNothing(t *testing.T) {
 	for _, c := range capCases {
 		if got := blockCap(c.hint, c.bs); got != c.want {
 			t.Errorf("blockCap(%d, %d) = %d, want %d", c.hint, c.bs, got, c.want)
-		}
-	}
-	presizeCases := []struct{ hint, bs, want int }{
-		{0, 1024, 0},
-		{-1, 1024, 0},
-		{1, 1024, 1024},
-		{1500, 1024, 2048}, // rounds UP to whole blocks
-	}
-	for _, c := range presizeCases {
-		if got := presizeBlocks(c.hint, c.bs); got != c.want {
-			t.Errorf("presizeBlocks(%d, %d) = %d, want %d", c.hint, c.bs, got, c.want)
-		}
-	}
-	blockCases := []struct{ n, bs, want int }{
-		{0, 1024, 0}, {-5, 1024, 0}, {5, 0, 0}, {5, -1, 0},
-		{1, 1024, 1}, {1024, 1024, 1}, {1025, 1024, 2},
-	}
-	for _, c := range blockCases {
-		if got := planopt.BlocksFor(c.n, c.bs); got != c.want {
-			t.Errorf("planopt.BlocksFor(%d, %d) = %d, want %d", c.n, c.bs, got, c.want)
 		}
 	}
 
@@ -187,18 +165,45 @@ func TestBatchHintZeroAllocatesNothing(t *testing.T) {
 	if cap(sel.out) != 0 {
 		t.Errorf("select allocated a %d-cap output block over an empty input", cap(sel.out))
 	}
+}
 
-	// The memo spool presize takes the same whole-block reservation: 0 for
-	// an empty producer, rounded-up blocks otherwise.
-	m := NewMemo(1 << 20)
-	e := &memoEntry{state: spoolBuilding}
-	m.presizeSpool(e, presizeBlocks(0, 1024))
-	if cap(e.tuples) != 0 {
-		t.Errorf("memo spool reserved %d slots for a 0 hint", cap(e.tuples))
+// TestMemoSpoolCapacityFollowsResult: a cached selective query over a
+// large relation leaves a completed spool sized by what it holds, not by
+// the relation it filtered — its capacity stays within one block of its
+// length, so every warm entry retains memory in proportion to its answer.
+func TestMemoSpoolCapacityFollowsResult(t *testing.T) {
+	cat := storage.NewCatalog()
+	big := cat.MustDefine("Big", relation.NewSchema("a", "b"))
+	for i := 0; i < 20000; i++ {
+		big.InsertValues(relation.Int(int64(i)), relation.Int(int64(i%7)))
 	}
-	m.presizeSpool(e, presizeBlocks(1500, 1024))
-	if cap(e.tuples) != 2048 {
-		t.Errorf("memo spool reserved %d slots for a 1500 hint at block 1024, want 2048", cap(e.tuples))
+	memo := NewMemo(0)
+	ctx := NewContext(cat)
+	ctx.Memo = memo
+	plan := algebra.NewShared(&algebra.Select{
+		Input: scan(cat, "Big"),
+		Pred:  algebra.CmpConst{Col: 0, Op: relation.OpLt, Const: relation.Int(30)},
+	})
+	res, err := Run(ctx, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 30 {
+		t.Fatalf("selective query returned %d rows, want 30", res.Len())
+	}
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	if len(memo.entries) != 1 {
+		t.Fatalf("want one memo entry, got %d", len(memo.entries))
+	}
+	for _, e := range memo.entries {
+		if e.state != spoolComplete {
+			t.Fatalf("spool state = %d, want complete", e.state)
+		}
+		if slack := cap(e.tuples) - len(e.tuples); slack > ctx.blockSize() {
+			t.Fatalf("completed spool holds %d tuples in %d slots: %d spare, more than one %d-tuple block",
+				len(e.tuples), cap(e.tuples), slack, ctx.blockSize())
+		}
 	}
 }
 

@@ -308,28 +308,6 @@ func (m *Memo) appendSpoolBlock(e *memoEntry, ts []relation.Tuple) (appended int
 	return len(ts), true
 }
 
-// presizeSpool reserves spool capacity for an expected result size. The
-// caller converts its per-tuple hint into a whole-block reservation
-// (planopt.BlocksFor rounds up; a hint of 0 reserves nothing) and this
-// clamps it to the memo budget — an entry can never publish more than the
-// budget, so reserving past it only wastes memory.
-func (m *Memo) presizeSpool(e *memoEntry, capHint int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e.state != spoolBuilding || capHint <= 0 {
-		return
-	}
-	if capHint > m.budget {
-		capHint = m.budget
-	}
-	if cap(e.tuples) >= capHint {
-		return
-	}
-	grown := make([]relation.Tuple, len(e.tuples), capHint)
-	copy(grown, e.tuples)
-	e.tuples = grown
-}
-
 // complete publishes a fully drained spool: the entry becomes immutable,
 // joins the LRU front, and least-recently-used complete entries are evicted
 // until the budget holds again. In-flight spools are never evicted.

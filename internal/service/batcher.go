@@ -1,29 +1,26 @@
 package service
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // batcher collects requests from a channel into per-tenant FIFO queues and
 // dispatches them as single-tenant batches chosen by the deficit-round-robin
-// scheduler (fairsched.go), so a burst pays its planner and flight-table
-// work per distinct query AND a flooding tenant lengthens only its own
-// queue. A tenant becomes dispatchable when it holds size requests or its
-// oldest request has waited maxWait; dispatch itself is slot-gated — the
-// collector acquires an execution slot before it picks the next tenant —
-// which is what makes the DRR order real: under overload the contended
-// resource is the slot, and whoever holds the scheduler at slot-grant time
-// decides who runs next. Each dispatched batch runs on its own goroutine
-// and releases its slot when done. close drains: buffered requests are
-// flushed in size-bounded, slot-gated batches (never one unbounded batch)
-// and every dispatched batch finishes before close returns.
+// scheduler (fairsched.go), so a flooding tenant lengthens only its own
+// queue. Dispatch is work-conserving and slot-gated: whenever any tenant
+// has a queued request the collector bids for an execution slot, and the
+// tenant the scheduler picks at slot-grant time gets everything its queue
+// holds, up to size. That is what makes the DRR order real — under
+// overload the contended resource is the slot — and it is also the only
+// way a batch grows past one request: requests pile up only while every
+// slot is busy, so a burst under backlog still pays its planner and
+// flight-table work once per distinct query. Each dispatched batch runs on
+// its own goroutine and releases its slot when done. close drains: buffered
+// requests are flushed in size-bounded, slot-gated batches (never one
+// unbounded batch) and every dispatched batch finishes before close
+// returns.
 type batcher struct {
-	in      chan *request
-	size    int
-	maxWait time.Duration
-	slots   chan struct{}
-	run     func([]*request)
+	in    chan *request
+	slots chan struct{}
+	run   func([]*request)
 	// shed rejects a request whose tenant queue is at capacity (nil keeps
 	// tenant queues unbounded — unit tests only; the server always sheds).
 	shed func(*request)
@@ -38,7 +35,6 @@ type batcher struct {
 type batcherConfig struct {
 	size    int
 	depth   int // submission channel buffer AND per-tenant pending cap
-	maxWait time.Duration
 	slots   chan struct{}
 	weights map[string]int // tenant name → DRR weight (missing = 1)
 	shed    func(*request)
@@ -51,62 +47,37 @@ func newBatcher(cfg batcherConfig) *batcher {
 		maxPending = 0 // no shed path: caps would silently drop requests
 	}
 	b := &batcher{
-		in:      make(chan *request, cfg.depth),
-		size:    cfg.size,
-		maxWait: cfg.maxWait,
-		slots:   cfg.slots,
-		run:     cfg.run,
-		shed:    cfg.shed,
-		sched:   newFairSched(cfg.size, cfg.maxWait, maxPending, cfg.weights),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
+		in:    make(chan *request, cfg.depth),
+		slots: cfg.slots,
+		run:   cfg.run,
+		shed:  cfg.shed,
+		sched: newFairSched(cfg.size, maxPending, cfg.weights),
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	go b.loop()
 	return b
 }
 
 // loop is the collector goroutine: the only reader of b.in and the only
-// owner of the scheduler. Each iteration it either absorbs a submission,
-// wins an execution slot for the next DRR batch, or wakes when a lingering
-// tenant crosses its max-wait.
+// owner of the scheduler. Each iteration it either absorbs a submission or,
+// while any request is queued, wins an execution slot for the next DRR
+// batch.
 func (b *batcher) loop() {
 	defer close(b.done)
 	for {
-		now := time.Now()
-		// Only bid for a slot when some tenant may dispatch; otherwise a
-		// timer wakes us when the oldest lingering request matures.
-		var slotC chan struct{}
-		var timerC <-chan time.Time
-		var timer *time.Timer
-		if b.sched.eligibleAt(now) {
+		var slotC chan struct{} // nil never fires: no bid while idle
+		if b.sched.pending() > 0 {
 			slotC = b.slots
-		} else if at, ok := b.sched.nextLinger(); ok {
-			d := at.Sub(now)
-			if d < 0 {
-				d = 0
-			}
-			timer = time.NewTimer(d)
-			timerC = timer.C
 		}
 		select {
 		case r := <-b.in:
 			b.enqueue(r)
 		case slotC <- struct{}{}:
-			// Slot won: the scheduler picks the next tenant's batch. The
-			// eligibility check above makes nil impossible — the collector
-			// is the only goroutine mutating the scheduler.
-			b.spawn(b.sched.nextBatch(time.Now(), false))
-		case <-timerC:
-			// Re-evaluate eligibility at the top of the loop.
+			b.spawn(b.sched.nextBatch())
 		case <-b.quit:
-			if timer != nil {
-				timer.Stop()
-			}
 			b.drain()
 			return
-		}
-		if timer != nil {
-			timer.Stop()
 		}
 	}
 }
@@ -114,12 +85,6 @@ func (b *batcher) loop() {
 // enqueue routes one request into its tenant queue, shedding at the
 // per-tenant cap so one tenant's backlog cannot consume the whole buffer.
 func (b *batcher) enqueue(r *request) {
-	if r.enqueued.IsZero() {
-		// The server stamps submission time; bare unit-test requests get
-		// stamped here so the linger clock never sees a zero time (which
-		// would read as an expired wait).
-		r.enqueued = time.Now()
-	}
 	if !b.sched.push(r) {
 		b.shed(r)
 	}
@@ -140,8 +105,8 @@ func (b *batcher) spawn(batch []*request) {
 // channel are routed to their tenant queues (everything there was accepted
 // before the server flipped to closing, so it must be answered), then the
 // queues are flushed through the same slot-gated, size-bounded DRR path as
-// normal dispatch — the linger is ignored, the size bound is not, so the
-// flight table never sees a batch shape the steady state could not produce.
+// normal dispatch, so the flight table never sees a batch shape the steady
+// state could not produce.
 func (b *batcher) drain() {
 	for {
 		select {
@@ -154,7 +119,7 @@ func (b *batcher) drain() {
 	}
 	for b.sched.pending() > 0 {
 		b.slots <- struct{}{}
-		b.spawn(b.sched.nextBatch(time.Now(), true))
+		b.spawn(b.sched.nextBatch())
 	}
 	b.dispatch.Wait()
 }

@@ -27,47 +27,77 @@ func collectBatches() (func([]*request), func() [][]*request) {
 	return run, get
 }
 
-// testBatcher builds a batcher the way the unit tests need it: an ample
-// slot pool (the tests exercise flush shape, not slot contention) and no
-// shed callback, so tenant queues are unbounded.
-func testBatcher(size, depth int, maxWait time.Duration, run func([]*request)) *batcher {
+// testBatcher builds a batcher the way the unit tests need it: one
+// execution slot, which a test can hold to make requests queue (batches
+// form only while every slot is busy), and no shed callback, so tenant
+// queues are unbounded.
+func testBatcher(size, depth int, run func([]*request)) *batcher {
 	return newBatcher(batcherConfig{
-		size:    size,
-		depth:   depth,
-		maxWait: maxWait,
-		slots:   make(chan struct{}, 16),
-		run:     run,
+		size:  size,
+		depth: depth,
+		slots: make(chan struct{}, 1),
+		run:   run,
 	})
 }
 
-// TestBatcherFlushesAtSize: the size threshold flushes immediately, well
-// before the max-wait timer.
+// waitAbsorbed waits until the collector has taken every submission off
+// the channel; it enqueues each one before it next selects, so once the
+// channel is empty a released slot sees the whole backlog.
+func waitAbsorbed(t *testing.T, b *batcher) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for len(b.in) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("collector left %d submissions unread", len(b.in))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// closeReleasingSlot closes b while the test still holds its only slot,
+// then releases the slot so the drain can dispatch through it.
+func closeReleasingSlot(b *batcher) {
+	closed := make(chan struct{})
+	go func() {
+		b.close()
+		close(closed)
+	}()
+	<-b.slots
+	<-closed
+}
+
+// TestBatcherFlushesAtSize: while the only slot is busy the queue backs up,
+// and once it frees the backlog dispatches in batches bounded by size.
 func TestBatcherFlushesAtSize(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	run, got := collectBatches()
-	b := testBatcher(3, 16, time.Minute, run)
+	b := testBatcher(3, 16, run)
+	b.slots <- struct{}{} // hold the slot: nothing can dispatch
 	for i := 0; i < 6; i++ {
 		b.in <- &request{}
 	}
+	waitAbsorbed(t, b)
+	<-b.slots
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if bs := got(); len(bs) == 2 && len(bs[0]) == 3 && len(bs[1]) == 3 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("want two batches of 3 long before the minute timer, got %d", len(got()))
+			t.Fatalf("want two batches of 3 once the slot frees, got %d", len(got()))
 		}
 		time.Sleep(time.Millisecond)
 	}
 	b.close()
 }
 
-// TestBatcherFlushesAtMaxWait: a lone request below the size threshold is
-// flushed once its max-wait elapses.
-func TestBatcherFlushesAtMaxWait(t *testing.T) {
+// TestBatcherDispatchesLoneRequest: with a slot free, a lone request far
+// below the size bound dispatches at once — nothing waits for a batch to
+// fill.
+func TestBatcherDispatchesLoneRequest(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	run, got := collectBatches()
-	b := testBatcher(100, 16, 10*time.Millisecond, run)
+	b := testBatcher(100, 16, run)
 	b.in <- &request{}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -75,22 +105,22 @@ func TestBatcherFlushesAtMaxWait(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("max-wait flush never fired")
+			t.Fatal("a lone request was never dispatched")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	b.close()
 }
 
-// TestBatcherCloseDrains: close flushes whatever is buffered — even with a
-// size threshold and max-wait that would never trigger — and waits for the
-// dispatched run to finish before returning.
+// TestBatcherCloseDrains: close answers whatever is still queued — here
+// held back by a busy slot — and waits for the dispatched run to finish
+// before returning.
 func TestBatcherCloseDrains(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	var mu sync.Mutex
 	var seen int
 	var running bool
-	b := testBatcher(100, 16, time.Hour, func(batch []*request) {
+	b := testBatcher(100, 16, func(batch []*request) {
 		mu.Lock()
 		running = true
 		mu.Unlock()
@@ -100,10 +130,11 @@ func TestBatcherCloseDrains(t *testing.T) {
 		running = false
 		mu.Unlock()
 	})
+	b.slots <- struct{}{}
 	for i := 0; i < 5; i++ {
 		b.in <- &request{}
 	}
-	b.close()
+	closeReleasingSlot(b)
 	mu.Lock()
 	defer mu.Unlock()
 	if running {
@@ -114,18 +145,18 @@ func TestBatcherCloseDrains(t *testing.T) {
 	}
 }
 
-// TestBatcherDrainChunks: the quit-drain path respects the size bound — a
-// backlog bigger than one batch flushes as several size-bounded batches,
-// never one unbounded batch (the shape the flight table never sees in
-// steady state).
+// TestBatcherDrainChunks: a backlog bigger than one batch flushes as several
+// size-bounded batches at close, never one unbounded batch (the shape the
+// flight table never sees in steady state).
 func TestBatcherDrainChunks(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	run, got := collectBatches()
-	b := testBatcher(4, 32, time.Hour, run)
+	b := testBatcher(4, 32, run)
+	b.slots <- struct{}{}
 	for i := 0; i < 10; i++ {
 		b.in <- &request{}
 	}
-	b.close()
+	closeReleasingSlot(b)
 	total := 0
 	for _, batch := range got() {
 		if len(batch) > 4 {
@@ -146,10 +177,9 @@ func TestBatcherShedsAtTenantCap(t *testing.T) {
 	var mu sync.Mutex
 	var shed int
 	b := newBatcher(batcherConfig{
-		size:    100,
-		depth:   3,
-		maxWait: time.Hour,
-		slots:   make(chan struct{}, 1),
+		size:  100,
+		depth: 3,
+		slots: make(chan struct{}, 1),
 		shed: func(*request) {
 			mu.Lock()
 			shed++
@@ -157,8 +187,9 @@ func TestBatcherShedsAtTenantCap(t *testing.T) {
 		},
 		run: func([]*request) {},
 	})
-	// The collector drains the channel into the tenant FIFO; with size 100
-	// and maxWait an hour nothing dispatches, so pushes past depth must shed.
+	// Hold the only slot so nothing dispatches: the collector drains the
+	// channel into the tenant FIFO, and pushes past depth must shed.
+	b.slots <- struct{}{}
 	for i := 0; i < 8; i++ {
 		b.in <- &request{}
 	}
@@ -175,5 +206,6 @@ func TestBatcherShedsAtTenantCap(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	<-b.slots
 	b.close()
 }

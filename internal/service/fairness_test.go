@@ -25,8 +25,7 @@ func TestFairnessFloodAndTrickle(t *testing.T) {
 			{Name: "abuser", APIKey: "k-abuser"},
 			{Name: "polite", APIKey: "k-polite"},
 		},
-		BatchSize:     1, // every request dispatches alone: pure DRR alternation
-		BatchMaxWait:  time.Millisecond,
+		BatchSize:     1,    // every request dispatches alone: pure DRR alternation
 		QueueDepth:    4096, // above the flood size: sheds come from CoDel, not caps
 		MaxConcurrent: 1,    // one slot: the scheduler fully decides service order
 		ShedTarget:    10 * time.Millisecond,
@@ -110,8 +109,7 @@ func TestRateLimitShedsAtEntry(t *testing.T) {
 		Tenants: []TenantConfig{
 			{Name: "capped", APIKey: "k-capped", RatePerSec: 5},
 		},
-		BatchSize:    1,
-		BatchMaxWait: time.Millisecond,
+		BatchSize: 1,
 	})
 	var shed, ok int
 	for i := 0; i < 10; i++ {
@@ -156,7 +154,6 @@ func TestSubSecondRetryAdviceRoundTrips(t *testing.T) {
 	s := newTestServer(t, Config{
 		Tenants:       []TenantConfig{{Name: "acme", APIKey: "k-acme"}},
 		BatchSize:     4,
-		BatchMaxWait:  time.Millisecond,
 		MaxConcurrent: 1,
 		// A nanosecond target/interval makes every sojourn "too long", so
 		// sheds flow immediately and their advice ≈ sojourn: microseconds.

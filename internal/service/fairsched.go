@@ -1,9 +1,5 @@
 package service
 
-import (
-	"time"
-)
-
 // fairSched is the batcher's deficit-round-robin (DRR) scheduler: one FIFO
 // per tenant instead of one shared pending list, so a tenant that floods
 // the service lengthens only its own queue. Dispatch walks the ring of
@@ -11,16 +7,15 @@ import (
 // weight×quantum requests and drains at most that many (in size-bounded
 // batches), so over any busy window tenants receive service in proportion
 // to their weights — the classic DRR guarantee, with every request costing
-// one unit. The scheduler is owned by the batcher's collector goroutine and
-// is deliberately lock-free: all methods must be called from that one
-// goroutine.
+// one unit. Every backlogged tenant is dispatchable: a batch is whatever
+// the visited tenant's queue holds, up to size, so batches only grow past
+// one request while the execution slots are busy. The scheduler is owned by
+// the batcher's collector goroutine and is deliberately lock-free: all
+// methods must be called from that one goroutine.
 type fairSched struct {
 	// size is the batch bound: no dispatched batch exceeds it, including
 	// the drain path.
 	size int
-	// maxWait is the linger: a tenant below size becomes eligible once its
-	// oldest request has waited this long.
-	maxWait time.Duration
 	// maxPending caps each tenant's FIFO (0 or negative = unbounded);
 	// push reports false at the cap so the caller can shed.
 	maxPending int
@@ -47,8 +42,6 @@ type tenantFIFO struct {
 
 func (f *tenantFIFO) len() int { return len(f.q) - f.head }
 
-func (f *tenantFIFO) oldest() *request { return f.q[f.head] }
-
 // take removes and returns the first n requests.
 func (f *tenantFIFO) take(n int) []*request {
 	out := make([]*request, n)
@@ -67,10 +60,9 @@ func (f *tenantFIFO) take(n int) []*request {
 	return out
 }
 
-func newFairSched(size int, maxWait time.Duration, maxPending int, weights map[string]int) *fairSched {
+func newFairSched(size, maxPending int, weights map[string]int) *fairSched {
 	return &fairSched{
 		size:       size,
-		maxWait:    maxWait,
 		maxPending: maxPending,
 		weights:    weights,
 		byName:     make(map[string]*tenantFIFO),
@@ -113,80 +105,34 @@ func (s *fairSched) push(r *request) bool {
 // pending is the total queued requests across all tenants.
 func (s *fairSched) pending() int { return s.total }
 
-// fifoEligible reports whether f may dispatch now: a full batch is waiting,
-// or its oldest request has lingered maxWait.
-func (s *fairSched) fifoEligible(f *tenantFIFO, now time.Time) bool {
-	return f.len() >= s.size || now.Sub(f.oldest().enqueued) >= s.maxWait
-}
-
-// eligibleAt reports whether any tenant may dispatch at now.
-func (s *fairSched) eligibleAt(now time.Time) bool {
-	for _, f := range s.ring {
-		if s.fifoEligible(f, now) {
-			return true
-		}
-	}
-	return false
-}
-
-// nextLinger returns the earliest instant at which a currently backlogged
-// tenant becomes linger-eligible (false when nothing is pending). Callers
-// arm a timer with it when no tenant is eligible yet.
-func (s *fairSched) nextLinger() (time.Time, bool) {
-	var earliest time.Time
-	for _, f := range s.ring {
-		t := f.oldest().enqueued.Add(s.maxWait)
-		if earliest.IsZero() || t.Before(earliest) {
-			earliest = t
-		}
-	}
-	return earliest, !earliest.IsZero()
-}
-
 // nextBatch dispatches the next size-bounded, single-tenant batch by DRR
-// order, or nil when no tenant is eligible. force treats every backlogged
-// tenant as eligible (the drain path ignores the linger). The visited
-// tenant's deficit is topped up by weight×size when spent, each batch
-// consumes deficit one request per request, and the scheduler keeps serving
-// the same tenant while deficit remains — so a weight-2 tenant drains two
-// full batches per round to a weight-1 tenant's one. A tenant whose queue
-// empties forfeits its remaining deficit: idleness is not credit.
-func (s *fairSched) nextBatch(now time.Time, force bool) []*request {
-	n := len(s.ring)
-	for i := 0; i < n; i++ {
-		idx := (s.cur + i) % n
-		f := s.ring[idx]
-		if !force && !s.fifoEligible(f, now) {
-			continue
-		}
-		if f.deficit < 1 {
-			f.deficit += f.weight * s.size
-		}
-		take := s.size
-		if f.len() < take {
-			take = f.len()
-		}
-		if f.deficit < take {
-			take = f.deficit
-		}
-		batch := f.take(take)
-		f.deficit -= take
-		s.total -= take
-		switch {
-		case f.len() == 0:
-			f.deficit = 0
-			s.ring = append(s.ring[:idx], s.ring[idx+1:]...)
-			if len(s.ring) == 0 {
-				s.cur = 0
-			} else {
-				s.cur = idx % len(s.ring)
-			}
-		case f.deficit < 1:
-			s.cur = (idx + 1) % n
-		default:
-			s.cur = idx
-		}
-		return batch
+// order; callers dispatch only while pending() > 0. The visited tenant's deficit is
+// topped up by weight×size when spent, each batch consumes deficit one
+// request per request, and the scheduler keeps serving the same tenant
+// while deficit remains — so a weight-2 tenant drains two full batches per
+// round to a weight-1 tenant's one. A tenant whose queue empties forfeits
+// its remaining deficit: idleness is not credit.
+func (s *fairSched) nextBatch() []*request {
+	idx := s.cur
+	f := s.ring[idx]
+	if f.deficit < 1 {
+		f.deficit += f.weight * s.size
 	}
-	return nil
+	take := min(s.size, f.len(), f.deficit)
+	batch := f.take(take)
+	f.deficit -= take
+	s.total -= take
+	switch {
+	case f.len() == 0:
+		f.deficit = 0
+		s.ring = append(s.ring[:idx], s.ring[idx+1:]...)
+		if len(s.ring) == 0 {
+			s.cur = 0
+		} else {
+			s.cur = idx % len(s.ring)
+		}
+	case f.deficit < 1:
+		s.cur = (idx + 1) % len(s.ring)
+	}
+	return batch
 }

@@ -1,28 +1,24 @@
 package service
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// namedReq builds a request for tenant name with an explicit enqueue time.
-func namedReq(name string, enqueued time.Time) *request {
-	return &request{tenant: &tenant{cfg: TenantConfig{Name: name}}, enqueued: enqueued}
+// namedReq builds a request for tenant name.
+func namedReq(name string) *request {
+	return &request{tenant: &tenant{cfg: TenantConfig{Name: name}}}
 }
 
 // TestFairSchedWeightsHonored: over a busy window a weight-2 tenant drains
 // twice the requests of a weight-1 tenant, in size-bounded single-tenant
 // batches — the DRR guarantee, traced deterministically.
 func TestFairSchedWeightsHonored(t *testing.T) {
-	now := time.Now()
-	s := newFairSched(2, time.Hour, 0, map[string]int{"heavy": 2})
+	s := newFairSched(2, 0, map[string]int{"heavy": 2})
 	for i := 0; i < 20; i++ {
-		s.push(namedReq("light", now))
-		s.push(namedReq("heavy", now))
+		s.push(namedReq("light"))
+		s.push(namedReq("heavy"))
 	}
 	served := map[string]int{}
 	for i := 0; i < 9; i++ { // 9 batches of 2 = 18 requests, both stay backlogged
-		batch := s.nextBatch(now, false)
+		batch := s.nextBatch()
 		if len(batch) != 2 {
 			t.Fatalf("batch %d: want size 2, got %d", i, len(batch))
 		}
@@ -41,47 +37,17 @@ func TestFairSchedWeightsHonored(t *testing.T) {
 	}
 }
 
-// TestFairSchedLingerEligibility: below the size threshold a tenant is not
-// eligible until its oldest request has waited maxWait, and nextLinger
-// reports exactly when that happens.
-func TestFairSchedLingerEligibility(t *testing.T) {
-	now := time.Now()
-	s := newFairSched(10, 50*time.Millisecond, 0, nil)
-	s.push(namedReq("a", now))
-	if s.eligibleAt(now) {
-		t.Fatal("one request below size must not be eligible before the linger")
-	}
-	at, ok := s.nextLinger()
-	if !ok || !at.Equal(now.Add(50*time.Millisecond)) {
-		t.Fatalf("nextLinger = %v, %v; want enqueue+50ms", at, ok)
-	}
-	if b := s.nextBatch(now, false); b != nil {
-		t.Fatalf("nextBatch before linger returned %d requests", len(b))
-	}
-	later := now.Add(50 * time.Millisecond)
-	if !s.eligibleAt(later) {
-		t.Fatal("lingered request must be eligible at maxWait")
-	}
-	if b := s.nextBatch(later, false); len(b) != 1 {
-		t.Fatalf("want the lingered request dispatched, got %d", len(b))
-	}
-	if s.pending() != 0 {
-		t.Fatalf("pending = %d after the only request dispatched", s.pending())
-	}
-}
-
 // TestFairSchedPerTenantCap: push refuses at the per-tenant cap — and only
 // for the tenant at its cap; others keep queueing.
 func TestFairSchedPerTenantCap(t *testing.T) {
-	now := time.Now()
-	s := newFairSched(4, time.Hour, 2, nil)
-	if !s.push(namedReq("a", now)) || !s.push(namedReq("a", now)) {
+	s := newFairSched(4, 2, nil)
+	if !s.push(namedReq("a")) || !s.push(namedReq("a")) {
 		t.Fatal("pushes under the cap must succeed")
 	}
-	if s.push(namedReq("a", now)) {
+	if s.push(namedReq("a")) {
 		t.Fatal("push at the cap must refuse")
 	}
-	if !s.push(namedReq("b", now)) {
+	if !s.push(namedReq("b")) {
 		t.Fatal("another tenant must be unaffected by a's cap")
 	}
 	if s.pending() != 3 {
@@ -93,10 +59,9 @@ func TestFairSchedPerTenantCap(t *testing.T) {
 // quantum forfeits its remaining deficit — idleness earns no credit, so a
 // returning tenant starts from zero like everyone else.
 func TestFairSchedDeficitForfeitOnEmpty(t *testing.T) {
-	now := time.Now()
-	s := newFairSched(4, time.Hour, 0, map[string]int{"a": 3})
-	s.push(namedReq("a", now))
-	if b := s.nextBatch(now, true); len(b) != 1 {
+	s := newFairSched(4, 0, map[string]int{"a": 3})
+	s.push(namedReq("a"))
+	if b := s.nextBatch(); len(b) != 1 {
 		t.Fatalf("want a's single request, got %d", len(b))
 	}
 	// weight 3 × size 4 = 12 deficit minus 1 served would leave 11; the
@@ -109,23 +74,27 @@ func TestFairSchedDeficitForfeitOnEmpty(t *testing.T) {
 	}
 }
 
-// TestFairSchedDrainForce: force dispatches backlogged tenants regardless of
-// the linger, still size-bounded — the drain path's contract.
-func TestFairSchedDrainForce(t *testing.T) {
-	now := time.Now()
-	s := newFairSched(4, time.Hour, 0, nil)
+// TestFairSchedDispatchesAtOnce: a single pushed request is dispatchable
+// immediately — there is no linger — and a backlog drains in batches
+// bounded by size, the contract both normal dispatch and the drain path
+// rely on.
+func TestFairSchedDispatchesAtOnce(t *testing.T) {
+	s := newFairSched(4, 0, nil)
+	s.push(namedReq("a"))
+	if b := s.nextBatch(); len(b) != 1 {
+		t.Fatalf("a lone request must dispatch at once, got a batch of %d", len(b))
+	}
+	if s.pending() != 0 {
+		t.Fatalf("pending = %d after the only request dispatched", s.pending())
+	}
 	for i := 0; i < 6; i++ {
-		s.push(namedReq("a", now))
+		s.push(namedReq("a"))
 	}
 	sizes := []int{}
 	for s.pending() > 0 {
-		b := s.nextBatch(now, true)
-		if len(b) == 0 {
-			t.Fatal("force dispatch returned an empty batch with work pending")
-		}
-		sizes = append(sizes, len(b))
+		sizes = append(sizes, len(s.nextBatch()))
 	}
 	if len(sizes) != 2 || sizes[0] != 4 || sizes[1] != 2 {
-		t.Fatalf("want forced batches [4 2], got %v", sizes)
+		t.Fatalf("want batches [4 2], got %v", sizes)
 	}
 }

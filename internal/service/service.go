@@ -22,14 +22,16 @@
 //     propagates into the engine context, so a blown budget cancels the
 //     evaluation itself, not just the response.
 //  3. Batching and fair scheduling — requests flow through per-tenant FIFO
-//     queues drained by a deficit-round-robin scheduler (fairsched.go) into
-//     single-tenant, size-bounded batches; a batch groups identical query
-//     texts so a burst pays the planner once per distinct query. Dispatch
-//     is slot-gated under a bounded pool (Config.MaxConcurrent): the
-//     scheduler decides who gets each slot, so under overload tenants
-//     receive capacity in proportion to their weights, a flooding tenant
-//     lengthens only its own queue, and overload stays observable as queue
-//     sojourn instead of unbounded goroutines.
+//     queues drained by a deficit-round-robin scheduler (fairsched.go).
+//     Dispatch is work-conserving and slot-gated under a bounded pool
+//     (Config.MaxConcurrent): whenever a slot is free the scheduler hands
+//     it to the next tenant with queued work, which takes everything its
+//     queue holds up to Config.BatchSize. Batches therefore grow only
+//     while every slot is busy; a batch groups identical query texts so a
+//     burst under backlog pays the planner once per distinct query. Under
+//     overload tenants receive capacity in proportion to their weights, a
+//     flooding tenant lengthens only its own queue, and overload stays
+//     observable as queue sojourn instead of unbounded goroutines.
 //  4. Circuit breakers — each tenant carries a breaker (breaker.go):
 //     consecutive engine failures open it (fast typed 503 until a half-open
 //     probe re-closes it), and repeated governor trips put the tenant in
@@ -67,10 +69,9 @@ var (
 
 // Defaults for Config zero values.
 const (
-	DefaultBatchSize    = 16
-	DefaultBatchMaxWait = 2 * time.Millisecond
-	DefaultQueueDepth   = 256
-	DefaultRecent       = 256
+	DefaultBatchSize  = 16
+	DefaultQueueDepth = 256
+	DefaultRecent     = 256
 	// DefaultMaxConcurrent bounds concurrently executing batches. Bounded
 	// execution is load-bearing for overload resilience: it is what turns
 	// "too much traffic" into measurable queue sojourn the admission
@@ -82,12 +83,10 @@ const (
 type Config struct {
 	// Tenants declares the tenant registry; at least one is required.
 	Tenants []TenantConfig
-	// BatchSize flushes a batch when it holds this many requests
-	// (DefaultBatchSize when 0).
+	// BatchSize bounds the requests one dispatched batch carries
+	// (DefaultBatchSize when 0). A batch is whatever the tenant's queue
+	// holds when a slot frees, so batches grow only under backlog.
 	BatchSize int
-	// BatchMaxWait flushes a non-empty batch after its oldest request has
-	// waited this long (DefaultBatchMaxWait when 0).
-	BatchMaxWait time.Duration
 	// QueueDepth is the submission channel's buffer (DefaultQueueDepth
 	// when 0): the burst the server absorbs without blocking submitters.
 	QueueDepth int
@@ -200,10 +199,6 @@ func NewServer(db *core.DB, cfg Config) (*Server, error) {
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
-	maxWait := cfg.BatchMaxWait
-	if maxWait <= 0 {
-		maxWait = DefaultBatchMaxWait
-	}
 	depth := cfg.QueueDepth
 	if depth <= 0 {
 		depth = DefaultQueueDepth
@@ -295,7 +290,6 @@ func NewServer(db *core.DB, cfg Config) (*Server, error) {
 	s.batch = newBatcher(batcherConfig{
 		size:    size,
 		depth:   depth,
-		maxWait: maxWait,
 		slots:   s.slots,
 		weights: weights,
 		shed:    s.shedPending,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/relation"
 	"repro/internal/testutil"
 )
@@ -55,16 +56,32 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// holdFirstScan returns tenant engine options that stall the engine's
+// first base-relation scan for d, once. The first request's evaluation is
+// then still in flight when its identical siblings arrive, so every one of
+// them joins that flight — through the flight table, or as a member of the
+// producer's batch group — instead of racing it to a second evaluation.
+func holdFirstScan(d time.Duration) []core.Option {
+	return []core.Option{core.WithFaultPlan(faultinject.New(faultinject.Arm{
+		Point: faultinject.PointIterOpen,
+		Kind:  faultinject.KindDelay,
+		After: 1,
+		Delay: d,
+	}))}
+}
+
 // TestSingleFlightColdQueries is the acceptance gate: 8 identical
-// concurrent cold queries evaluate exactly once. Batch size 8 with a
-// generous max-wait makes the collapse structural — all eight land in one
-// batch, form one group, and the group leader is the only producer.
+// concurrent cold queries evaluate exactly once. The held first scan makes
+// the collapse structural: the first request is elected producer and every
+// other request shares its result.
 func TestSingleFlightColdQueries(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const n = 8
 	s := newTestServer(t, Config{
-		BatchSize:    n,
-		BatchMaxWait: 500 * time.Millisecond,
+		Tenants: []TenantConfig{{Name: "acme", APIKey: "k-acme", Options: holdFirstScan(500 * time.Millisecond)}},
+		// A slot per request: a waiter holds its slot while it waits, so with
+		// fewer slots a late request would queue until the flight is over.
+		MaxConcurrent: n,
 	})
 
 	outs := make([]*Outcome, n)
@@ -99,9 +116,6 @@ func TestSingleFlightColdQueries(t *testing.T) {
 		if out.Result == nil || out.Result.Rows.Len() != 1 {
 			t.Errorf("request %d: want 1 row (eve), got %+v", i, out.Result)
 		}
-		if out.Record.Batch != n {
-			t.Errorf("request %d rode batch of %d, want %d", i, out.Record.Batch, n)
-		}
 	}
 	if elects != 1 || shares != n-1 {
 		t.Fatalf("want exactly 1 election and %d shares, got %d/%d", n-1, elects, shares)
@@ -120,15 +134,12 @@ func TestMultiTenantIsolation(t *testing.T) {
 	var tcs []TenantConfig
 	for i := 0; i < tenantsN; i++ {
 		tcs = append(tcs, TenantConfig{
-			Name:   fmt.Sprintf("t%d", i),
-			APIKey: fmt.Sprintf("key-%d", i),
+			Name:    fmt.Sprintf("t%d", i),
+			APIKey:  fmt.Sprintf("key-%d", i),
+			Options: holdFirstScan(500 * time.Millisecond),
 		})
 	}
-	s := newTestServer(t, Config{
-		Tenants:      tcs,
-		BatchSize:    tenantsN * perTenant,
-		BatchMaxWait: 500 * time.Millisecond,
-	})
+	s := newTestServer(t, Config{Tenants: tcs, MaxConcurrent: tenantsN * perTenant})
 
 	var wg sync.WaitGroup
 	for i := 0; i < tenantsN; i++ {
@@ -297,15 +308,15 @@ func TestClosedQueryOverHTTP(t *testing.T) {
 func TestShutdownDrains(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	s, err := NewServer(demoDB(), Config{
-		Tenants: []TenantConfig{{Name: "acme", APIKey: "k-acme"}},
-		// A long max-wait so in-flight requests are still buffered when
-		// Shutdown lands — the drain, not the timer, must flush them.
-		BatchSize:    64,
-		BatchMaxWait: time.Minute,
+		Tenants:       []TenantConfig{{Name: "acme", APIKey: "k-acme"}},
+		MaxConcurrent: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Hold the only execution slot so accepted requests are still queued
+	// when Shutdown lands: the drain, not normal dispatch, must answer them.
+	s.slots <- struct{}{}
 
 	const n = 6
 	outs := make(chan error, n)
@@ -318,11 +329,24 @@ func TestShutdownDrains(t *testing.T) {
 			outs <- err
 		}()
 	}
-	// Let the submissions reach the batcher buffer, then shut down.
+	// Let the submissions reach the batcher, then shut down. Once the
+	// server is closing, the slot can go to the drain.
 	time.Sleep(50 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- s.Shutdown(ctx) }()
+	for {
+		s.closeMu.RLock()
+		closing := s.closing
+		s.closeMu.RUnlock()
+		if closing {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	<-s.slots
+	if err := <-shutdown; err != nil {
 		t.Fatalf("shutdown did not drain: %v", err)
 	}
 	wg.Wait()
@@ -352,8 +376,7 @@ func TestStatsReconcile(t *testing.T) {
 			{Name: "a", APIKey: "ka"},
 			{Name: "b", APIKey: "kb"},
 		},
-		BatchSize:    4,
-		BatchMaxWait: 5 * time.Millisecond,
+		BatchSize: 4,
 	})
 
 	queries := []string{
@@ -430,10 +453,7 @@ func TestStatsReconcile(t *testing.T) {
 // completes the request without blocking.
 func TestCancelledCallerGetsContextError(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	s := newTestServer(t, Config{
-		BatchSize:    64,
-		BatchMaxWait: 100 * time.Millisecond,
-	})
+	s := newTestServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := s.Execute(ctx, "k-acme", demoQuery)

@@ -2,7 +2,8 @@
 # check.sh — the repo's tier-1 gate, runnable locally and in CI.
 #
 #   ./scripts/check.sh         # toolchain pin, format, vet, lint, build,
-#                              # full tests, race tests, chaos sweep,
+#                              # full tests, benchmark module vet + tests,
+#                              # race tests, chaos sweep,
 #                              # one-shot benchmark smoke + counter gate,
 #                              # overload load-test smoke (queryd + queryload)
 #
@@ -64,6 +65,14 @@ go build ./...
 # relation mutation order) fail loudly instead of passing by accident.
 echo "== go test (shuffled)"
 go test -shuffle=on ./...
+
+# perfbench/ is its own Go module, so the root ./... patterns above skip
+# it: without this step a change to an internal API the benchmark calls
+# passes the gate and breaks every benchmark run. Its tests re-derive the
+# committed expected answers (perfbench/testdata/expect.json) with the
+# loopeval oracle.
+echo "== perfbench module (vet + tests)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== go test -race (exec, core, planopt, integrity, service, shuffled)"
 go test -race -shuffle=on ./internal/exec/ ./internal/core/ ./internal/planopt/ ./internal/integrity/ ./internal/service/
